@@ -15,7 +15,9 @@
 //! 3. **Datapaths** — runs one network through the functional datapath of
 //!    every backend in the default accelerator [`Registry`] (DPNN, Stripes,
 //!    DStripes, the Loom variants), recording wall-clock, executed cycles and
-//!    the measured speedup over DPNN, bit-exact against the golden executor.
+//!    the measured speedup over DPNN, bit-exact against the golden executor;
+//!    the comparators' cycles must also equal their analytic models over the
+//!    golden layer inputs.
 //! 4. **Batch** — runs one network as a batch of 4 across a thread scaling
 //!    curve (1/2/4, capped at `--threads`), verifying bit-identical results
 //!    at every point.
@@ -42,17 +44,21 @@ use loom_core::export::{
     functional_bench_to_json, BatchBench, DatapathThroughputRow, FunctionalBenchReport,
     KernelBench, ScalingPoint, WeightStoreBench, ZooFunctionalRow,
 };
-use loom_core::loom_model::graph::LayerGraph;
-use loom_core::loom_model::inference::{InferenceOptions, NetworkParams};
+use loom_core::loom_model::fixed::required_precision;
+use loom_core::loom_model::graph::{LayerGraph, NodeOp};
+use loom_core::loom_model::inference::{InferenceOptions, InferenceTrace, NetworkParams};
+use loom_core::loom_model::layer::LayerKind;
 use loom_core::loom_model::synthetic::{
     synthetic_activations, synthetic_weights, ValueDistribution,
 };
 use loom_core::loom_model::tensor::{Tensor3, Tensor4};
 use loom_core::loom_model::zoo::graphs;
 use loom_core::loom_model::{layer::ConvSpec, Precision};
-use loom_core::loom_sim::accelerator::Registry;
+use loom_core::loom_precision::trace::LayerPrecisionSpec;
+use loom_core::loom_sim::accelerator::{Accelerator, Registry};
 use loom_core::loom_sim::config::LoomGeometry;
-use loom_core::loom_sim::datapath;
+use loom_core::loom_sim::datapath::{self, FunctionalDStripes};
+use loom_core::loom_sim::engine::AcceleratorKind;
 use loom_core::loom_sim::loom::{
     packed_inner_product, serial_inner_product, weight_store_stats, wide_inner_product,
     BitplaneBlock, FunctionalLoom, NetworkEngine, SipKernel, WideBitplaneBlock, KERNEL_TIERS,
@@ -162,6 +168,61 @@ fn zoo_input(graph: &LayerGraph, seed: u64) -> Tensor3 {
         ),
     )
     .expect("shape and length agree by construction")
+}
+
+/// A comparator's cycles over one golden trace from its analytic model, with
+/// each layer's precisions derived from its golden input: DPNN and Stripes
+/// directly, DStripes by replaying the per-step precisions its detector
+/// measures on the golden input. `None` for Loom, which has no exact analytic
+/// model of dynamic-precision cycles.
+fn analytic_cycles(
+    acc: &dyn Accelerator,
+    graph: &LayerGraph,
+    params: &NetworkParams,
+    golden: &InferenceTrace,
+) -> Option<u64> {
+    if matches!(acc.kind(), AcceleratorKind::Loom(_)) {
+        return None;
+    }
+    let mut total = 0;
+    for node in graph.nodes() {
+        let NodeOp::Layer(layer) = &node.op else {
+            continue;
+        };
+        let inputs = &golden
+            .for_layer(&node.name)
+            .expect("the golden trace covers every node")
+            .inputs;
+        total += match layer {
+            LayerKind::Conv(spec) => {
+                let weights = &params
+                    .for_layer(&node.name)
+                    .expect("conv nodes have weights")
+                    .values;
+                let mut precision = LayerPrecisionSpec::static_profile(
+                    required_precision(inputs),
+                    required_precision(weights),
+                );
+                if acc.kind() == AcceleratorKind::DStripes {
+                    let input = Tensor3::from_vec(spec.input_shape(), inputs.clone())
+                        .expect("golden layer inputs match the spec");
+                    let weights = Tensor4::from_vec(spec.weight_shape(), weights.clone())
+                        .expect("weights match the spec");
+                    precision.dynamic_activation =
+                        FunctionalDStripes::new(EquivalentConfig::BASELINE_128.dpnn())
+                            .run_conv(spec, &input, &weights)
+                            .explicit_source();
+                }
+                acc.conv_cycles(spec, &precision).0
+            }
+            LayerKind::FullyConnected(spec) => {
+                acc.fc_cycles(spec, &LayerPrecisionSpec::full_precision_static())
+                    .0
+            }
+            LayerKind::MaxPool(_) => 0,
+        };
+    }
+    Some(total)
 }
 
 /// Runs one zoo network through both paths and compares the traces.
@@ -502,7 +563,11 @@ fn main() {
                 cycles: runs.iter().map(|r| r.cycles).sum(),
                 reduced_groups: runs.iter().map(|r| r.reduced_groups).sum(),
                 speedup_vs_dpnn: 1.0,
-                matches_reference: runs.iter().map(|r| &r.trace).eq(golden.iter()),
+                matches_reference: runs.iter().zip(&golden).all(|(run, golden)| {
+                    run.trace == *golden
+                        && analytic_cycles(acc, &graph, &params, golden)
+                            .map_or(true, |cycles| cycles == run.cycles)
+                }),
             });
         }
         let dpnn_cycles = rows
@@ -649,7 +714,8 @@ fn main() {
     if !report.all_agree() {
         eprintln!(
             "ERROR: a bit-exactness check failed (SIP kernels, a zoo network \
-             vs the golden model, or a parallel batch vs the serial one)"
+             vs the golden model, a datapath's trace or cycles vs its \
+             reference, or a parallel batch vs the serial one)"
         );
         std::process::exit(1);
     }

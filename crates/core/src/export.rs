@@ -294,8 +294,10 @@ pub struct DatapathThroughputRow {
     /// Modeled-cycle speedup versus the DPNN row of the same network (1.0
     /// for DPNN itself, and when no DPNN row exists to normalise against).
     pub speedup_vs_dpnn: f64,
-    /// Whether the run was bit-identical to the golden model. CI fails the
-    /// job when false.
+    /// Whether the run was bit-identical to the golden model and, for the
+    /// DPNN/Stripes/DStripes comparators, whether its cycles equal the
+    /// analytic model over the golden layer inputs. CI fails the job when
+    /// false.
     pub matches_reference: bool,
 }
 

@@ -5,8 +5,6 @@
 //! * [`packing`] — bit-interleaved packed storage of weights and activations
 //!   at the per-layer profile precisions (§3.2), with exact round-trip
 //!   semantics and footprint arithmetic.
-//! * [`transposer`] — the output-activation transposer that rotates
-//!   bit-parallel SIP outputs into bit-interleaved storage.
 //! * [`compress`] — sparse compressed bitplane weight storage: all-zero and
 //!   pure-sign-extension planes elided behind per-block plane bitmaps, with
 //!   lossless round trips and modeled stream/resident footprints.
@@ -39,7 +37,6 @@ pub mod dram;
 pub mod hierarchy;
 pub mod packing;
 pub mod traffic;
-pub mod transposer;
 
 pub use compress::{compression_footprint, CompressedPlanes, PlaneRef, WeightCompression};
 pub use dram::DramChannel;

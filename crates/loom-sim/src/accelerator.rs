@@ -193,8 +193,10 @@ impl Accelerator for Dpnn {
         )
     }
 
-    fn functional_datapath(&self, _threads: usize) -> Option<Box<dyn FunctionalDatapath>> {
-        Some(Box::new(FunctionalDpnn::new(self.geometry)))
+    fn functional_datapath(&self, threads: usize) -> Option<Box<dyn FunctionalDatapath>> {
+        Some(Box::new(
+            FunctionalDpnn::new(self.geometry).with_threads(threads),
+        ))
     }
 }
 
@@ -245,8 +247,10 @@ impl Accelerator for Stripes {
         )
     }
 
-    fn functional_datapath(&self, _threads: usize) -> Option<Box<dyn FunctionalDatapath>> {
-        Some(Box::new(FunctionalStripes::new(self.geometry)))
+    fn functional_datapath(&self, threads: usize) -> Option<Box<dyn FunctionalDatapath>> {
+        Some(Box::new(
+            FunctionalStripes::new(self.geometry).with_threads(threads),
+        ))
     }
 }
 
@@ -301,8 +305,10 @@ impl Accelerator for DStripes {
         )
     }
 
-    fn functional_datapath(&self, _threads: usize) -> Option<Box<dyn FunctionalDatapath>> {
-        Some(Box::new(FunctionalDStripes::new(self.geometry)))
+    fn functional_datapath(&self, threads: usize) -> Option<Box<dyn FunctionalDatapath>> {
+        Some(Box::new(
+            FunctionalDStripes::new(self.geometry).with_threads(threads),
+        ))
     }
 }
 

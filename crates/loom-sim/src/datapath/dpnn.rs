@@ -4,18 +4,14 @@
 //! parallel: each cycle broadcasts one 16-long activation chunk to `k`
 //! inner-product units, one filter each. Precision never changes its
 //! schedule, so its cycle count is exactly the analytic
-//! [`crate::dpnn::conv_cycles`] / [`crate::dpnn::fc_cycles`] tile-loop count
-//! — the functional path iterates the very same tiles and accumulates wide
-//! (i64), making it bit-exact against the golden model by construction. It is
-//! still worth running differentially: it anchors the conformance harness's
-//! cross-backend agreement (every serial datapath must land on the same
-//! numbers the parallel one does).
+//! [`crate::dpnn::conv_cycles`] / [`crate::dpnn::fc_cycles`] tile-loop count.
+//! The values come from the shared wide engine (see [`crate::datapath`]);
+//! the datapath contributes only that cycle model.
 
 use crate::config::DpnnGeometry;
-use crate::datapath::FunctionalDatapath;
+use crate::datapath::{FunctionalDatapath, LoomDatapath};
 use crate::dpnn;
 use crate::loom::functional::FunctionalRun;
-use loom_model::im2col::window_patch_into;
 use loom_model::layer::{ConvSpec, FcSpec};
 use loom_model::tensor::{Tensor3, Tensor4};
 
@@ -24,60 +20,50 @@ use loom_model::tensor::{Tensor3, Tensor4};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunctionalDpnn {
     geometry: DpnnGeometry,
+    threads: usize,
 }
 
 impl FunctionalDpnn {
-    /// Creates a DPNN datapath over the bit-parallel tile geometry.
+    /// Creates a DPNN datapath over the bit-parallel tile geometry, computing
+    /// on one worker thread.
     pub fn new(geometry: DpnnGeometry) -> Self {
-        FunctionalDpnn { geometry }
+        FunctionalDpnn {
+            geometry,
+            threads: 1,
+        }
     }
 
-    /// Runs a convolutional layer: per window, each filter's weights stream
-    /// through 16-lane chunks against the window's im2col patch.
-    pub fn run_conv(&self, spec: &ConvSpec, input: &Tensor3, weights: &Tensor4) -> FunctionalRun {
-        assert_eq!(input.shape(), spec.input_shape(), "input shape mismatch");
-        assert_eq!(
-            weights.shape(),
-            spec.weight_shape(),
-            "weight shape mismatch"
-        );
-        let windows = spec.windows();
-        let out_w = spec.out_width();
-        let wpf = spec.weights_per_filter();
-        let lanes = self.geometry.lanes;
-        let chunks = wpf.div_ceil(lanes);
-        let group_in = spec.in_channels / spec.groups;
-        let group_out = spec.filters / spec.groups;
+    /// Fans each layer's value computation across `threads` pool workers
+    /// (clamped to at least 1). Results are identical at any thread count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
 
-        let mut outputs = vec![0i64; spec.filters * windows];
-        let mut patch = Vec::new();
-        for w in 0..windows {
-            let (oy, ox) = (w / out_w, w % out_w);
-            for g in 0..spec.groups {
-                patch.clear();
-                window_patch_into(spec, input, oy, ox, g * group_in, group_in, &mut patch);
-                for k in g * group_out..(g + 1) * group_out {
-                    let filter = weights.filter(k);
-                    let mut acc = 0i64;
-                    for chunk in 0..chunks {
-                        let base = chunk * lanes;
-                        let count = lanes.min(wpf - base);
-                        acc += chunk_dot(&filter[base..base + count], &patch[base..base + count]);
-                    }
-                    outputs[k * windows + w] = acc;
-                }
-            }
-        }
+    /// Runs a convolutional layer: exact values, and the tile-loop cycles of
+    /// streaming every window's patch through 16-lane chunks, `k` filters at a
+    /// time.
+    pub fn run_conv(&self, spec: &ConvSpec, input: &Tensor3, weights: &Tensor4) -> FunctionalRun {
         FunctionalRun {
-            outputs,
+            outputs: LoomDatapath::values(self.threads)
+                .conv(spec, input, weights)
+                .outputs,
             cycles: dpnn::conv_cycles(&self.geometry, spec),
             reduced_groups: 0,
         }
     }
 
     /// Runs a fully-connected layer through the same bit-parallel tiles.
+    /// Stripes and DStripes run their FCLs this way too: without weight reuse
+    /// the serial datapaths gain nothing and fall back to this schedule.
     pub fn run_fc(&self, spec: &FcSpec, input: &[i32], weights: &[i32]) -> FunctionalRun {
-        fc_bit_parallel(&self.geometry, spec, input, weights)
+        FunctionalRun {
+            outputs: LoomDatapath::values(self.threads)
+                .fc(spec, input, weights)
+                .outputs,
+            cycles: dpnn::fc_cycles(&self.geometry, spec),
+            reduced_groups: 0,
+        }
     }
 }
 
@@ -89,52 +75,6 @@ impl FunctionalDatapath for FunctionalDpnn {
     fn fc(&self, spec: &FcSpec, input: &[i32], weights: &[i32]) -> FunctionalRun {
         self.run_fc(spec, input, weights)
     }
-}
-
-/// The shared bit-parallel fully-connected path: every comparator (DPNN,
-/// Stripes, DStripes) runs FCLs this way, because without weight reuse the
-/// serial datapaths gain nothing and fall back to the baseline schedule.
-pub(crate) fn fc_bit_parallel(
-    geometry: &DpnnGeometry,
-    spec: &FcSpec,
-    input: &[i32],
-    weights: &[i32],
-) -> FunctionalRun {
-    assert_eq!(input.len(), spec.in_features, "input length mismatch");
-    assert_eq!(
-        weights.len(),
-        spec.in_features * spec.out_features,
-        "weight length mismatch"
-    );
-    let lanes = geometry.lanes;
-    let chunks = spec.in_features.div_ceil(lanes);
-    let outputs = (0..spec.out_features)
-        .map(|k| {
-            let row = &weights[k * spec.in_features..(k + 1) * spec.in_features];
-            let mut acc = 0i64;
-            for chunk in 0..chunks {
-                let base = chunk * lanes;
-                let count = lanes.min(spec.in_features - base);
-                acc += chunk_dot(&row[base..base + count], &input[base..base + count]);
-            }
-            acc
-        })
-        .collect();
-    FunctionalRun {
-        outputs,
-        cycles: dpnn::fc_cycles(geometry, spec),
-        reduced_groups: 0,
-    }
-}
-
-/// One cycle's worth of MACs: a 16-lane bit-parallel multiply feeding the
-/// wide adder tree.
-fn chunk_dot(weights: &[i32], activations: &[i32]) -> i64 {
-    weights
-        .iter()
-        .zip(activations.iter())
-        .map(|(&w, &a)| i64::from(w) * i64::from(a))
-        .sum()
 }
 
 #[cfg(test)]

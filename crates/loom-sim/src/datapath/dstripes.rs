@@ -4,18 +4,17 @@
 //! DStripes shares the Stripes tile but watches the activations it is about
 //! to feed: before each (window group × weight chunk) step, an OR tree over
 //! the 16 windows × 16 lanes activation block measures how many bits the
-//! block actually needs, and the serial feed stops there. The functional
-//! engine (`conv_serial_activations`, shared with the Stripes backend)
-//! performs exactly that measurement, truncates its operands to the detected
-//! width (a no-op when detection is correct — and a loud conformance failure
-//! when it is not), and reports the measured per-group precisions so tests
+//! block actually needs, and the serial feed stops there. Values come from
+//! the shared wide engine (see [`crate::datapath`]); this datapath performs
+//! exactly that measurement (in `conv_serial_activations`, shared with the
+//! Stripes backend) and reports the measured per-group precisions, so tests
 //! can replay them through the analytic
-//! [`crate::stripes::conv_cycles_dynamic`] and demand exact cycle agreement.
+//! [`crate::stripes::conv_cycles_dynamic`] and demand exact cycle agreement,
+//! and check each one against a brute-force recomputation.
 
 use crate::config::DpnnGeometry;
-use crate::datapath::dpnn::fc_bit_parallel;
 use crate::datapath::stripes::{conv_serial_activations, StripesConvRun};
-use crate::datapath::FunctionalDatapath;
+use crate::datapath::{FunctionalDatapath, FunctionalDpnn};
 use crate::loom::functional::FunctionalRun;
 use loom_model::layer::{ConvSpec, FcSpec};
 use loom_model::tensor::{Tensor3, Tensor4};
@@ -25,12 +24,25 @@ use loom_model::tensor::{Tensor3, Tensor4};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunctionalDStripes {
     geometry: DpnnGeometry,
+    threads: usize,
 }
 
 impl FunctionalDStripes {
-    /// Creates a DStripes datapath over the bit-parallel tile geometry.
+    /// Creates a DStripes datapath over the bit-parallel tile geometry,
+    /// computing on one worker thread.
     pub fn new(geometry: DpnnGeometry) -> Self {
-        FunctionalDStripes { geometry }
+        FunctionalDStripes {
+            geometry,
+            threads: 1,
+        }
+    }
+
+    /// Fans each layer's value computation and detection walk across
+    /// `threads` pool workers (clamped to at least 1). Results are identical
+    /// at any thread count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
     }
 
     /// Runs a convolutional layer with runtime per-group activation
@@ -38,13 +50,15 @@ impl FunctionalDStripes {
     /// [`StripesConvRun::group_precisions`] are the widths the detector
     /// measured, in the analytic model's group order.
     pub fn run_conv(&self, spec: &ConvSpec, input: &Tensor3, weights: &Tensor4) -> StripesConvRun {
-        conv_serial_activations(&self.geometry, spec, input, weights, true)
+        conv_serial_activations(&self.geometry, spec, input, weights, true, self.threads)
     }
 
     /// Runs a fully-connected layer, bit-parallel like DPNN (detection buys
     /// nothing without weight reuse).
     pub fn run_fc(&self, spec: &FcSpec, input: &[i32], weights: &[i32]) -> FunctionalRun {
-        fc_bit_parallel(&self.geometry, spec, input, weights)
+        FunctionalDpnn::new(self.geometry)
+            .with_threads(self.threads)
+            .run_fc(spec, input, weights)
     }
 }
 
@@ -98,7 +112,6 @@ mod tests {
         .unwrap();
 
         let run = FunctionalDStripes::new(geo()).run_conv(&spec, &input, &weights);
-        // Bit-exact despite truncating to detected widths.
         assert_eq!(run.run.outputs, conv_forward(&spec, &input, &weights));
         // Synthetic sparse data must trigger reduction below static Stripes.
         let pa = required_precision(input.as_slice());

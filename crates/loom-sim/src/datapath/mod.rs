@@ -9,6 +9,14 @@
 //! ([`LayerGraph::run_batch_with`]) so scheduling, re-quantization, ReLU,
 //! pooling and concatenation are literally the same code on every backend.
 //!
+//! There is one arithmetic core. DPNN, Stripes and DStripes compute the same
+//! exact dot products as Loom, so all three take their values from Loom's
+//! wide compressed-bitplane engine ([`FunctionalLoom`], through the pack-once
+//! weight store) at their own thread budget, and add only their cycle and
+//! detection models. A mis-measuring DStripes detector therefore no longer
+//! shows up as a wrong value; the conformance suite recomputes its measured
+//! precisions by brute force instead.
+//!
 //! The payoff is differential testing: [`crate::validate::cross_validate`]
 //! runs every registered accelerator over the same network and asserts all of
 //! them land bit-exactly on the golden model — and therefore on each other.
@@ -49,7 +57,7 @@
 //! assert!(run.cycles > 0);
 //! ```
 
-use crate::config::LoomGeometry;
+use crate::config::{EquivalentConfig, LoomGeometry, LoomVariant};
 use crate::loom::functional::{FunctionalLoom, FunctionalRun};
 use crate::loom::NetworkRun;
 use loom_model::fixed::required_precision;
@@ -97,6 +105,18 @@ impl LoomDatapath {
     pub fn new(geometry: LoomGeometry, threads: usize) -> Self {
         LoomDatapath {
             engine: FunctionalLoom::new(geometry).with_threads(threads),
+        }
+    }
+
+    /// The value engine the comparators share: the wide datapath with
+    /// detection off, since only its outputs are read. The geometry shapes
+    /// the task decomposition and the (discarded) cycle count, never a value.
+    pub(crate) fn values(threads: usize) -> Self {
+        let geometry = EquivalentConfig::BASELINE_128.loom(LoomVariant::Lm1b);
+        LoomDatapath {
+            engine: FunctionalLoom::new(geometry)
+                .with_threads(threads)
+                .without_dynamic_precision(),
         }
     }
 }

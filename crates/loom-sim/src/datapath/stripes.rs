@@ -4,25 +4,26 @@
 //! every step broadcasts one 16-long weight chunk to
 //! [`STRIPES_WINDOW_PARALLELISM`] windows at once and feeds the matching
 //! activations one bit per cycle, so a step costs `Pa` cycles (the layer's
-//! activation precision). The didactic per-bit recipe lives in
-//! [`serial_activation_inner_product`]; the engine's hot path evaluates the
-//! same sum as a truncate-then-multiply per lane, which the in-module proptest
-//! pins bit-identical to the serial recipe. The truncation is deliberately
-//! kept in the hot path: if precision detection ever under-measures a group,
-//! the error shows up as a wrong *value* in the differential conformance
-//! harness, not just a wrong cycle count.
+//! activation precision) per group of `k` filters. The per-bit recipe lives
+//! in [`serial_activation_inner_product`], the bit-serial oracle the tests
+//! hold the shared value engine to.
 //!
-//! Cycle accounting walks (window group × weight chunk) steps in exactly the
-//! order of the analytic model ([`crate::stripes::conv_cycles_dynamic`]), so
-//! the functional count reproduces the analytic one by construction — a
-//! property the conformance suite asserts on the zoo.
+//! The values come from the shared wide engine (see [`crate::datapath`]).
+//! What this module adds is the Stripes-family cycle model: one effective
+//! activation precision per (window group × weight chunk) step, in exactly
+//! the order of the analytic model ([`crate::stripes::conv_cycles_dynamic`]).
+//! Stripes runs every step at the layer's static precision and needs no
+//! patch extraction; DStripes measures each step's precision from the
+//! activation block it consumes. Either way the functional count reproduces
+//! the analytic one by construction — a property the conformance suite
+//! asserts on the zoo.
 
 use crate::config::DpnnGeometry;
-use crate::datapath::dpnn::fc_bit_parallel;
-use crate::datapath::FunctionalDatapath;
+use crate::datapath::{FunctionalDatapath, FunctionalDpnn, LoomDatapath};
 use crate::loom::functional::FunctionalRun;
+use crate::pool;
 use crate::stripes::STRIPES_WINDOW_PARALLELISM;
-use loom_model::fixed::{bit_of, required_precision, signed_bits, truncate_to_precision};
+use loom_model::fixed::{bit_of, required_precision, signed_bits};
 use loom_model::im2col::window_patch_into;
 use loom_model::layer::{ConvSpec, FcSpec};
 use loom_model::tensor::{Tensor3, Tensor4};
@@ -35,24 +36,38 @@ use loom_precision::trace::GroupPrecisionSource;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunctionalStripes {
     geometry: DpnnGeometry,
+    threads: usize,
 }
 
 impl FunctionalStripes {
-    /// Creates a Stripes datapath over the bit-parallel tile geometry.
+    /// Creates a Stripes datapath over the bit-parallel tile geometry,
+    /// computing on one worker thread.
     pub fn new(geometry: DpnnGeometry) -> Self {
-        FunctionalStripes { geometry }
+        FunctionalStripes {
+            geometry,
+            threads: 1,
+        }
+    }
+
+    /// Fans each layer's value computation across `threads` pool workers
+    /// (clamped to at least 1). Results are identical at any thread count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
     }
 
     /// Runs a convolutional layer with the static per-layer activation
     /// precision derived from the input data itself.
     pub fn run_conv(&self, spec: &ConvSpec, input: &Tensor3, weights: &Tensor4) -> StripesConvRun {
-        conv_serial_activations(&self.geometry, spec, input, weights, false)
+        conv_serial_activations(&self.geometry, spec, input, weights, false, self.threads)
     }
 
     /// Runs a fully-connected layer. Without weight reuse there is no time to
     /// feed activations bit-serially, so FCLs execute exactly like DPNN.
     pub fn run_fc(&self, spec: &FcSpec, input: &[i32], weights: &[i32]) -> FunctionalRun {
-        fc_bit_parallel(&self.geometry, spec, input, weights)
+        FunctionalDpnn::new(self.geometry)
+            .with_threads(self.threads)
+            .run_fc(spec, input, weights)
     }
 }
 
@@ -90,90 +105,39 @@ impl StripesConvRun {
     }
 }
 
-/// The shared Stripes/DStripes convolution engine. `dynamic` enables runtime
-/// per-group activation precision detection (DStripes); without it every step
+/// The shared Stripes/DStripes convolution: values from the shared engine,
+/// cycles from one effective precision per step. `dynamic` enables runtime
+/// per-step activation precision detection (DStripes); without it every step
 /// runs at the layer's nominal precision (Stripes).
 ///
 /// Steps iterate window groups (outer) then weight chunks (inner) — the same
 /// group order as [`crate::stripes::conv_cycles_dynamic`] — and each step
-/// costs its effective precision times the number of filter groups. Detection
-/// shares one step across every conv group's lanes, so (like the Loom engine)
-/// grouped convolutions conservatively fall back to the layer precision.
+/// costs its effective precision times the number of filter groups.
+/// Detection shares one step across every conv group's lanes, so (like the
+/// Loom engine) grouped convolutions conservatively fall back to the layer
+/// precision.
 pub(crate) fn conv_serial_activations(
     geometry: &DpnnGeometry,
     spec: &ConvSpec,
     input: &Tensor3,
     weights: &Tensor4,
     dynamic: bool,
+    threads: usize,
 ) -> StripesConvRun {
-    assert_eq!(input.shape(), spec.input_shape(), "input shape mismatch");
-    assert_eq!(
-        weights.shape(),
-        spec.weight_shape(),
-        "weight shape mismatch"
-    );
-    let windows = spec.windows();
-    let out_w = spec.out_width();
-    let wpf = spec.weights_per_filter();
-    let lanes = geometry.lanes;
-    let chunks = wpf.div_ceil(lanes);
-    let filter_groups = (spec.filters as u64).div_ceil(geometry.filters as u64);
-    let group_in = spec.in_channels / spec.groups;
-    let group_out = spec.filters / spec.groups;
-    let window_parallelism = STRIPES_WINDOW_PARALLELISM as usize;
-
+    let outputs = LoomDatapath::values(threads)
+        .conv(spec, input, weights)
+        .outputs;
     let pa = required_precision(input.as_slice());
-    let detect = dynamic && spec.groups == 1;
-
-    let mut outputs = vec![0i64; spec.filters * windows];
-    let mut cycles = 0u64;
-    let mut reduced_groups = 0u64;
-    let mut group_precisions = Vec::with_capacity(windows.div_ceil(window_parallelism) * chunks);
-    let mut patches: Vec<Vec<i32>> = vec![Vec::new(); window_parallelism * spec.groups];
-
-    for window_base in (0..windows).step_by(window_parallelism) {
-        let group_windows = window_parallelism.min(windows - window_base);
-        for i in 0..group_windows {
-            let w = window_base + i;
-            let (oy, ox) = (w / out_w, w % out_w);
-            for g in 0..spec.groups {
-                let patch = &mut patches[i * spec.groups + g];
-                patch.clear();
-                window_patch_into(spec, input, oy, ox, g * group_in, group_in, patch);
-            }
-        }
-        for chunk in 0..chunks {
-            let base = chunk * lanes;
-            let count = lanes.min(wpf - base);
-            // The detector sees the whole 16 windows × 16 lanes activation
-            // block this step consumes, exactly like DStripes' OR tree.
-            let eff = if detect {
-                let mut need = 1u8;
-                for patch in patches.iter().take(group_windows) {
-                    for &a in &patch[base..base + count] {
-                        need = need.max(signed_bits(a));
-                    }
-                }
-                Precision::saturating(need).min(pa)
-            } else {
-                pa
-            };
-            group_precisions.push(eff);
-            if eff < pa {
-                reduced_groups += 1;
-            }
-            cycles += eff.bits_u64() * filter_groups;
-            for i in 0..group_windows {
-                let w = window_base + i;
-                for k in 0..spec.filters {
-                    let patch = &patches[i * spec.groups + k / group_out];
-                    let filter = weights.filter(k);
-                    outputs[k * windows + w] +=
-                        chunk_dot(&filter[base..base + count], &patch[base..base + count], eff);
-                }
-            }
-        }
-    }
+    let group_precisions = if dynamic && spec.groups == 1 {
+        detect_group_precisions(geometry, spec, input, pa, threads)
+    } else {
+        let window_groups = spec.windows().div_ceil(STRIPES_WINDOW_PARALLELISM as usize);
+        let chunks = spec.weights_per_filter().div_ceil(geometry.lanes);
+        vec![pa; window_groups * chunks]
+    };
+    let filter_groups = (spec.filters as u64).div_ceil(geometry.filters as u64);
+    let cycles = group_precisions.iter().map(|p| p.bits_u64()).sum::<u64>() * filter_groups;
+    let reduced_groups = group_precisions.iter().filter(|&&p| p < pa).count() as u64;
     StripesConvRun {
         run: FunctionalRun {
             outputs,
@@ -185,15 +149,47 @@ pub(crate) fn conv_serial_activations(
     }
 }
 
-/// The engine's hot-path form of one step's lane: truncate the activation to
-/// the step's effective precision (the datapath-visible effect of feeding
-/// `eff` serial bits) and multiply by the bit-parallel weight.
-fn chunk_dot(weights: &[i32], activations: &[i32], eff: Precision) -> i64 {
-    weights
-        .iter()
-        .zip(activations.iter())
-        .map(|(&w, &a)| i64::from(w) * i64::from(truncate_to_precision(a, eff)))
-        .sum()
+/// Per-worker scratch of the DStripes detector: one window's im2col patch.
+#[derive(Default)]
+struct DetectArena(Vec<i32>);
+
+/// DStripes' detector, window groups fanned across `threads` pool workers:
+/// for every step, the widest signed value in the 16 windows × 16 lanes
+/// activation block it consumes (the hardware's OR tree), capped at the layer
+/// precision `pa`. Only ungrouped convolutions detect.
+fn detect_group_precisions(
+    geometry: &DpnnGeometry,
+    spec: &ConvSpec,
+    input: &Tensor3,
+    pa: Precision,
+    threads: usize,
+) -> Vec<Precision> {
+    let windows = spec.windows();
+    let out_w = spec.out_width();
+    let lanes = geometry.lanes;
+    let chunks = spec.weights_per_filter().div_ceil(lanes);
+    let parallelism = STRIPES_WINDOW_PARALLELISM as usize;
+    let per_group = pool::ordered_map_with(
+        threads,
+        windows.div_ceil(parallelism),
+        DetectArena::default,
+        |DetectArena(patch), group| {
+            let mut need = vec![1u8; chunks];
+            let first = group * parallelism;
+            for w in first..windows.min(first + parallelism) {
+                patch.clear();
+                let (oy, ox) = (w / out_w, w % out_w);
+                window_patch_into(spec, input, oy, ox, 0, spec.in_channels, patch);
+                for (need, block) in need.iter_mut().zip(patch.chunks(lanes)) {
+                    *need = block.iter().fold(*need, |n, &a| n.max(signed_bits(a)));
+                }
+            }
+            need.into_iter()
+                .map(|n| Precision::saturating(n).min(pa))
+                .collect::<Vec<_>>()
+        },
+    );
+    per_group.concat()
 }
 
 /// One Stripes lane group exactly as the hardware executes it: weights stay
@@ -201,8 +197,8 @@ fn chunk_dot(weights: &[i32], activations: &[i32], eff: Precision) -> i64 {
 /// each cycle's partial sum is shifted into the accumulator, and — for signed
 /// activations — the MSB cycle's contribution is negated (two's complement).
 ///
-/// This is the didactic recipe the fast engine path is proven bit-identical
-/// to (see the proptests below), mirroring how
+/// This is the bit-serial oracle the shared value engine is proven
+/// bit-identical to (see the proptests below), mirroring how
 /// [`crate::loom::sip::serial_inner_product`] anchors the Loom kernels.
 pub fn serial_activation_inner_product(
     weights: &[i32],
@@ -292,7 +288,7 @@ mod tests {
         };
         let (input, weights) = conv_case(&spec, 3, Precision::new(6).unwrap(), Precision::FULL);
         for dynamic in [false, true] {
-            let run = conv_serial_activations(&geo(), &spec, &input, &weights, dynamic);
+            let run = conv_serial_activations(&geo(), &spec, &input, &weights, dynamic, 2);
             assert_eq!(run.run.outputs, conv_forward(&spec, &input, &weights));
             assert_eq!(run.run.reduced_groups, 0, "grouped convs stay nominal");
         }
@@ -301,9 +297,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The didactic serial-activation recipe, the fast truncate-multiply
-        /// path, and the plain i64 reference all agree — over ragged lane
-        /// counts, every signedness combination, and zero blocks.
+        /// The bit-serial activation recipe, the shared value engine (the
+        /// lanes as one fully-connected output), and the plain i64 reference
+        /// all agree — over ragged lane counts, every signedness combination,
+        /// and zero blocks.
         #[test]
         fn serial_recipe_matches_fast_path(
             lanes in 1usize..=256,
@@ -329,8 +326,9 @@ mod tests {
                 }
             }
             if !negate_w {
+                // The planted -32768 has no positive 16-bit counterpart.
                 for w in &mut weights {
-                    *w = w.abs();
+                    *w = w.abs().min(i32::from(i16::MAX));
                 }
             }
             if zero_block {
@@ -346,9 +344,11 @@ mod tests {
                 .map(|(&w, &a)| i64::from(w) * i64::from(a))
                 .sum();
             let serial = serial_activation_inner_product(&weights, &activations, eff, signed);
-            let fast = chunk_dot(&weights, &activations, eff);
+            let shared = FunctionalStripes::new(geo())
+                .run_fc(&FcSpec::new(lanes, 1), &activations, &weights)
+                .outputs;
             prop_assert_eq!(serial, reference);
-            prop_assert_eq!(fast, reference);
+            prop_assert_eq!(shared, vec![reference]);
         }
     }
 }

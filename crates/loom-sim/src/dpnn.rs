@@ -12,9 +12,9 @@
 //! critical path (as in DaDianNao) and contribute no datapath cycles.
 //!
 //! These are the *analytic* cycle models; the value-computing counterpart
-//! ([`crate::datapath::FunctionalDpnn`]) executes the same tiling on real
-//! tensors, bit-exact against the golden reference, and reports cycle counts
-//! that equal these formulas by construction.
+//! ([`crate::datapath::FunctionalDpnn`]) computes real tensors on the shared
+//! wide engine, bit-exact against the golden reference, and reports these
+//! formulas' cycle counts.
 
 use crate::config::DpnnGeometry;
 use loom_model::layer::{ConvSpec, FcSpec};

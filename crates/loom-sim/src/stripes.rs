@@ -13,9 +13,9 @@
 //!
 //! These are the *analytic* cycle models; the value-computing counterparts
 //! ([`crate::datapath::FunctionalStripes`] and
-//! [`crate::datapath::FunctionalDStripes`]) execute the same schedule on real
-//! tensors, bit-exact against the golden reference, and report cycle counts
-//! that equal these formulas by construction.
+//! [`crate::datapath::FunctionalDStripes`]) compute real tensors on the shared
+//! wide engine, bit-exact against the golden reference, and walk the same
+//! steps, so their cycle counts equal these formulas by construction.
 
 use crate::config::DpnnGeometry;
 use loom_model::layer::{ConvSpec, FcSpec};

@@ -4,7 +4,7 @@
 //! through the shared graph executor, and all of them must land bit-exactly
 //! on the golden i64 reference (and therefore on each other).
 //!
-//! Three layers of checks:
+//! Four layers of checks:
 //!
 //! 1. **Zoo cross-validation** (`validate::cross_validate`): whole reduced
 //!    networks, batched, every registered backend against the golden trace.
@@ -17,9 +17,14 @@
 //!    precisions. (Loom's functional↔analytic agreement is covered by the
 //!    `validate_conv`/`validate_fc` suites, which allow its one-cycle
 //!    pipeline-fill skew.)
+//! 4. **Detector soundness**: the comparators compute their values on the
+//!    shared wide engine, so a DStripes detector that under-measures a step
+//!    would not show up as a wrong value. Its per-step precisions are
+//!    therefore recomputed by brute force and compared element for element.
 
-use loom_core::loom_model::fixed::required_precision;
+use loom_core::loom_model::fixed::{required_precision, signed_bits};
 use loom_core::loom_model::graph::{LayerGraph, NodeOp};
+use loom_core::loom_model::im2col::window_patch;
 use loom_core::loom_model::inference::{InferenceOptions, NetworkParams};
 use loom_core::loom_model::layer::{ConvSpec, FcSpec, LayerKind};
 use loom_core::loom_model::reference::{conv_forward, fc_forward};
@@ -35,11 +40,12 @@ use loom_core::loom_sim::datapath::{
     FunctionalDStripes, FunctionalDatapath, FunctionalDpnn, FunctionalStripes,
 };
 use loom_core::loom_sim::engine::AcceleratorKind;
+use loom_core::loom_sim::stripes::STRIPES_WINDOW_PARALLELISM;
 use loom_core::loom_sim::validate::cross_validate;
 use loom_core::loom_sim::Registry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 fn zoo_input(graph: &LayerGraph, seed: u64) -> Tensor3 {
     let shape = graph.input_shape().expect("zoo graphs start with a conv");
@@ -270,8 +276,118 @@ fn random_conv_case(
     (input, weights)
 }
 
+/// DStripes' per-step activation precisions recomputed from scratch: for
+/// every (16-window group × 16-lane chunk) step, the widest signed value in
+/// the windows' im2col patches over that lane range, capped at the layer
+/// precision. Grouped convolutions do not detect and stay at the layer
+/// precision.
+fn brute_force_group_precisions(spec: &ConvSpec, input: &Tensor3, lanes: usize) -> Vec<Precision> {
+    let pa = required_precision(input.as_slice());
+    let windows = spec.windows();
+    let wpf = spec.weights_per_filter();
+    let group_windows = STRIPES_WINDOW_PARALLELISM as usize;
+    let mut steps = Vec::new();
+    for first in (0..windows).step_by(group_windows) {
+        let patches: Vec<Vec<i32>> = (first..windows.min(first + group_windows))
+            .map(|w| {
+                let (oy, ox) = (w / spec.out_width(), w % spec.out_width());
+                window_patch(spec, input, oy, ox, 0, spec.in_channels)
+            })
+            .collect();
+        for lo in (0..wpf).step_by(lanes) {
+            let hi = wpf.min(lo + lanes);
+            let widest = patches
+                .iter()
+                .flat_map(|patch| &patch[lo..hi])
+                .map(|&a| signed_bits(a))
+                .max()
+                .expect("every step covers at least one activation");
+            steps.push(if spec.groups == 1 {
+                Precision::saturating(widest).min(pa)
+            } else {
+                pa
+            });
+        }
+    }
+    steps
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Property: DStripes' reported per-step precisions equal the
+    /// brute-force recomputation element for element — over ragged lane
+    /// chunks, padding, strides, a zeroed block of activations and grouped
+    /// convolutions (which stay at the nominal precision) — at any thread
+    /// budget.
+    #[test]
+    fn dstripes_detector_matches_brute_force(
+        in_channels in 1usize..=8,
+        size in 3usize..=14,
+        filters in 1usize..=6,
+        kernel in 1usize..=3,
+        padding in 0usize..=2,
+        stride in 1usize..=2,
+        grouped in any::<bool>(),
+        negate in any::<bool>(),
+        zero_rows in 0usize..=14,
+        density in 1u32..=64,
+        pa_bits in 1u32..=12,
+        threads in 1usize..=3,
+        seed in any::<u64>(),
+    ) {
+        let mut spec = ConvSpec {
+            padding,
+            stride,
+            ..ConvSpec::simple(in_channels, size, size, filters, kernel.min(size))
+        };
+        if grouped && in_channels % 2 == 0 && filters % 2 == 0 {
+            spec.groups = 2;
+        }
+        // Sparse activations of scattered widths, so that the widest value
+        // of a step often sits in a single window and lane; the top
+        // `zero_rows` rows of every channel are a zero block.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut values: Vec<i32> = (0..spec.input_shape().len())
+            .map(|_| {
+                if rng.random_range(0..density) != 0 {
+                    return 0;
+                }
+                let bits = rng.random_range(1..=pa_bits);
+                let value = rng.random_range(0..1i32 << bits);
+                if negate && rng.random::<bool>() {
+                    -value
+                } else {
+                    value
+                }
+            })
+            .collect();
+        for plane in values.chunks_mut(size * size) {
+            plane[..zero_rows.min(size) * size].fill(0);
+        }
+        let input = Tensor3::from_vec(spec.input_shape(), values).unwrap();
+        let weights = Tensor4::from_vec(
+            spec.weight_shape(),
+            synthetic_weights(
+                &mut rng,
+                spec.weight_shape().len(),
+                Precision::new(8).unwrap(),
+                ValueDistribution::weights(),
+            ),
+        )
+        .unwrap();
+
+        let geo = EquivalentConfig::BASELINE_128.dpnn();
+        let run = FunctionalDStripes::new(geo)
+            .with_threads(threads)
+            .run_conv(&spec, &input, &weights);
+        prop_assert_eq!(run.nominal_activation, required_precision(input.as_slice()));
+        prop_assert_eq!(
+            &run.group_precisions,
+            &brute_force_group_precisions(&spec, &input, geo.lanes)
+        );
+        prop_assert_eq!(&run.run.outputs, &conv_forward(&spec, &input, &weights));
+    }
 
     /// Property: `stripes == dstripes == dpnn == golden` on random
     /// convolutional layers — ragged channel/kernel combinations (inner

@@ -7,11 +7,13 @@
 //! schedule-dependent paths: skewed job costs that force stealing, layers
 //! whose cost model picks different plans at different budgets (window
 //! chunks, filter tiles, FC row groups), and whole-network batch-of-1 runs
-//! where *intra-layer* tasks are the only parallelism available.
+//! where *intra-layer* tasks are the only parallelism available. The
+//! DPNN/Stripes/DStripes comparators compute on the same engine at their own
+//! thread budget and are held to the same invariance.
 
 use loom_core::loom_model::graph::LayerGraph;
 use loom_core::loom_model::inference::{InferenceOptions, NetworkParams};
-use loom_core::loom_model::layer::ConvSpec;
+use loom_core::loom_model::layer::{ConvSpec, FcSpec};
 use loom_core::loom_model::network::NetworkBuilder;
 use loom_core::loom_model::synthetic::{
     synthetic_activations, synthetic_weights, ValueDistribution,
@@ -19,7 +21,10 @@ use loom_core::loom_model::synthetic::{
 use loom_core::loom_model::tensor::{Tensor3, Tensor4};
 use loom_core::loom_model::zoo::graphs;
 use loom_core::loom_model::Precision;
-use loom_core::loom_sim::config::LoomGeometry;
+use loom_core::loom_sim::config::{EquivalentConfig, LoomGeometry};
+use loom_core::loom_sim::datapath::{
+    run_network_batch, FunctionalDStripes, FunctionalDatapath, FunctionalDpnn, FunctionalStripes,
+};
 use loom_core::loom_sim::loom::{FunctionalLoom, NetworkEngine};
 use loom_core::loom_sim::pool;
 use proptest::prelude::*;
@@ -265,5 +270,57 @@ fn batched_network_is_thread_invariant() {
             .run_batch(&graph, &params, &inputs, options)
             .expect("zoo graphs chain by construction");
         assert_eq!(serial, parallel, "threads={threads}");
+    }
+}
+
+/// The comparator datapaths — DPNN, Stripes and DStripes — on one conv layer
+/// that splits into several tasks, one FC layer and a whole MiniAlexNet
+/// batch: outputs, cycles, reduced groups and DStripes' measured per-step
+/// precisions are identical at 1, 2 and 4 threads.
+#[test]
+fn comparator_datapaths_are_thread_invariant() {
+    let geo = EquivalentConfig::BASELINE_128.dpnn();
+    let spec = ConvSpec::simple(32, 16, 16, 32, 3);
+    let (input, weights) = conv_operands(&spec, 31);
+    let fc = FcSpec::new(600, 70);
+    let mut rng = StdRng::seed_from_u64(37);
+    let p8 = Precision::new(8).unwrap();
+    let fc_input = synthetic_activations(&mut rng, 600, p8, ValueDistribution::activations());
+    let fc_weights = synthetic_weights(&mut rng, 600 * 70, p8, ValueDistribution::weights());
+    let graph = graphs::reduced_by_name("MiniAlexNet").expect("reduced zoo has MiniAlexNet");
+    let params = NetworkParams::synthetic_for_graph(&graph, &[p8], 2018);
+    let inputs = [zoo_input(&graph, 41), zoo_input(&graph, 42)];
+    let options = InferenceOptions::default();
+
+    let run_at = |threads: usize| {
+        let dpnn = FunctionalDpnn::new(geo).with_threads(threads);
+        let stripes = FunctionalStripes::new(geo).with_threads(threads);
+        let dstripes = FunctionalDStripes::new(geo).with_threads(threads);
+        let convs = (
+            dpnn.run_conv(&spec, &input, &weights),
+            stripes.run_conv(&spec, &input, &weights),
+            dstripes.run_conv(&spec, &input, &weights),
+        );
+        let backends: [&dyn FunctionalDatapath; 3] = [&dpnn, &stripes, &dstripes];
+        let fcs: Vec<_> = backends
+            .iter()
+            .map(|b| b.fc(&fc, &fc_input, &fc_weights))
+            .collect();
+        let networks: Vec<_> = backends
+            .iter()
+            .map(|b| {
+                run_network_batch(*b, &graph, &params, &inputs, options)
+                    .expect("zoo graphs chain by construction")
+            })
+            .collect();
+        (convs, fcs, networks)
+    };
+    let baseline = run_at(1);
+    assert!(
+        baseline.0 .2.run.reduced_groups > 0,
+        "the conv case must exercise DStripes detection"
+    );
+    for threads in [2, 4] {
+        assert_eq!(baseline, run_at(threads), "threads={threads}");
     }
 }
