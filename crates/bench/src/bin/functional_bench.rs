@@ -1,12 +1,13 @@
 //! Functional-engine benchmark, bit-exactness gate and perf regression guard.
 //!
 //! Five sections, all emitted into `BENCH_functional.json` together with
-//! machine provenance (detected CPU features, per-tier kernel availability,
-//! the active kernel tier, physical core count):
+//! provenance (git revision, detected CPU features, per-tier kernel
+//! availability, the active kernel tier, physical core count):
 //!
 //! 1. **Kernels** — times 256-lane inner products at several precisions on
 //!    the legacy bit-serial loop, the 64-lane packed AND+popcount datapath
-//!    (four blocks), and the 256-lane SIMD-wide datapath (one block); then a
+//!    (four blocks), and the 256-lane SIMD-wide datapath (one block), plus
+//!    one wide-block transpose per precision (`pack_ns`); then a
 //!    mid-size convolutional layer through the functional engine on all three
 //!    kernel paths, verifying the runs are bit-identical.
 //! 2. **Zoo** — runs whole networks (`loom_model::zoo::graphs`, including
@@ -41,8 +42,8 @@
 //! networks for a quick run.
 
 use loom_core::export::{
-    functional_bench_to_json, BatchBench, DatapathThroughputRow, FunctionalBenchReport,
-    KernelBench, ScalingPoint, WeightStoreBench, ZooFunctionalRow,
+    functional_bench_to_json, git_revision, BatchBench, DatapathThroughputRow,
+    FunctionalBenchReport, KernelBench, ScalingPoint, WeightStoreBench, ZooFunctionalRow,
 };
 use loom_core::loom_model::fixed::required_precision;
 use loom_core::loom_model::graph::{LayerGraph, NodeOp};
@@ -115,7 +116,8 @@ fn robust_ns<O, F: FnMut() -> O>(mut routine: F) -> f64 {
 /// Micro-benchmarks one 256-lane inner product at `bits`-bit operands on all
 /// three kernels. The packed and wide operands are pre-transposed, matching
 /// how the engine amortises packing; the 64-lane kernel tiles the lanes as
-/// four blocks.
+/// four blocks. The transpose itself is timed separately: one dispatched
+/// 256-lane wide pack of the weights into a reused block.
 fn bench_kernel(rng: &mut StdRng, bits: u8) -> KernelBench {
     let p = Precision::new(bits).unwrap();
     let weights = synthetic_weights(rng, KERNEL_LANES, p, ValueDistribution::weights());
@@ -143,12 +145,18 @@ fn bench_kernel(rng: &mut StdRng, bits: u8) -> KernelBench {
     let a_wide = WideBitplaneBlock::pack(&activations);
     let wide_ns =
         robust_ns(|| wide_inner_product(black_box(&w_wide), black_box(&a_wide), p, p, true, false));
+    let mut arena = WideBitplaneBlock::EMPTY;
+    let pack_ns = robust_ns(|| {
+        arena.pack_into(black_box(&weights));
+        arena.lanes()
+    });
     KernelBench {
         precision_bits: bits,
         lanes: KERNEL_LANES,
         serial_ns,
         packed_ns,
         wide_ns,
+        pack_ns,
     }
 }
 
@@ -397,10 +405,11 @@ fn main() {
         .map(|&bits| {
             let k = bench_kernel(&mut rng, bits);
             println!(
-                "  {bits:>2}-bit: serial {:>9.1} ns  packed {:>7.1} ns  wide {:>7.1} ns  -> wide {:.1}x serial, {:.1}x packed",
+                "  {bits:>2}-bit: serial {:>9.1} ns  packed {:>7.1} ns  wide {:>7.1} ns  pack {:>6.1} ns  -> wide {:.1}x serial, {:.1}x packed",
                 k.serial_ns,
                 k.packed_ns,
                 k.wide_ns,
+                k.pack_ns,
                 k.wide_speedup(),
                 k.wide_vs_packed()
             );
@@ -664,6 +673,7 @@ fn main() {
     );
 
     let report = FunctionalBenchReport {
+        git_revision: git_revision(),
         kernels,
         conv_layer,
         conv_serial_seconds,

@@ -203,8 +203,8 @@ pub fn sweep_bench_to_json(report: &SweepBenchReport) -> String {
 
 /// One kernel micro-benchmark point: nanoseconds per `lanes`-lane inner
 /// product for the legacy bit-serial loop, the 64-lane packed AND+popcount
-/// datapath (tiled over the lanes), and the 256-lane SIMD-wide datapath, at
-/// one operand precision.
+/// datapath (tiled over the lanes), and the 256-lane SIMD-wide datapath, plus
+/// one wide-block transpose, at one operand precision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelBench {
     /// Operand precision (both weights and activations), in bits.
@@ -219,6 +219,9 @@ pub struct KernelBench {
     /// Mean wall-clock per inner product for the 256-lane wide kernel
     /// (pre-transposed operands).
     pub wide_ns: f64,
+    /// Mean wall-clock of one dispatched 256-lane wide-block transpose of
+    /// weights at this precision (what a streamed FC row pays per block).
+    pub pack_ns: f64,
 }
 
 impl KernelBench {
@@ -382,6 +385,8 @@ pub struct WeightStoreBench {
 /// (consumed by CI as `BENCH_functional.json`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionalBenchReport {
+    /// Git revision of the measured build ([`git_revision`]).
+    pub git_revision: String,
     /// Kernel micro-benchmark points, one per operand precision.
     pub kernels: Vec<KernelBench>,
     /// Human-readable description of the benchmarked conv layer.
@@ -462,10 +467,38 @@ impl FunctionalBenchReport {
     }
 }
 
+/// The git revision of the checkout this build came from, with `-dirty`
+/// appended when tracked files differ from it — the provenance stamp of the
+/// committed `BENCH_*.json` files. `"unknown"` when git or the repository is
+/// unavailable.
+pub fn git_revision() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(head) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(changes) if changes.is_empty() => head,
+            _ => format!("{head}-dirty"),
+        },
+        None => "unknown".to_string(),
+    }
+}
+
 /// Renders a [`FunctionalBenchReport`] as JSON (no external dependencies —
 /// the build environment has no serde).
 pub fn functional_bench_to_json(report: &FunctionalBenchReport) -> String {
     let mut out = String::from("{\n");
+    let _ = writeln!(
+        out,
+        "  \"git_revision\": {},",
+        json_string(&report.git_revision)
+    );
     out.push_str("  \"kernels\": [\n");
     for (i, k) in report.kernels.iter().enumerate() {
         let comma = if i + 1 < report.kernels.len() {
@@ -475,12 +508,13 @@ pub fn functional_bench_to_json(report: &FunctionalBenchReport) -> String {
         };
         let _ = writeln!(
             out,
-            "    {{\"precision_bits\": {}, \"lanes\": {}, \"serial_ns\": {:.2}, \"packed_ns\": {:.2}, \"wide_ns\": {:.2}, \"packed_speedup\": {:.2}, \"wide_speedup\": {:.2}, \"wide_vs_packed\": {:.2}}}{comma}",
+            "    {{\"precision_bits\": {}, \"lanes\": {}, \"serial_ns\": {:.2}, \"packed_ns\": {:.2}, \"wide_ns\": {:.2}, \"pack_ns\": {:.2}, \"packed_speedup\": {:.2}, \"wide_speedup\": {:.2}, \"wide_vs_packed\": {:.2}}}{comma}",
             k.precision_bits,
             k.lanes,
             k.serial_ns,
             k.packed_ns,
             k.wide_ns,
+            k.pack_ns,
             k.speedup(),
             k.wide_speedup(),
             k.wide_vs_packed()
@@ -710,6 +744,7 @@ mod tests {
     #[test]
     fn functional_bench_json_is_well_formed() {
         let report = FunctionalBenchReport {
+            git_revision: "0123abc".into(),
             kernels: vec![
                 KernelBench {
                     precision_bits: 8,
@@ -717,6 +752,7 @@ mod tests {
                     serial_ns: 1000.0,
                     packed_ns: 40.0,
                     wide_ns: 10.0,
+                    pack_ns: 30.0,
                 },
                 KernelBench {
                     precision_bits: 16,
@@ -724,6 +760,7 @@ mod tests {
                     serial_ns: 4000.0,
                     packed_ns: 100.0,
                     wide_ns: 40.0,
+                    pack_ns: 50.0,
                 },
             ],
             conv_layer: "conv 32x16x16 k3".into(),
@@ -831,6 +868,8 @@ mod tests {
         assert!(json.contains("\"packed_speedup\": 25.00"));
         assert!(json.contains("\"wide_speedup\": 100.00"));
         assert!(json.contains("\"wide_vs_packed\": 4.00"));
+        assert!(json.contains("\"pack_ns\": 30.00"));
+        assert!(json.contains("\"git_revision\": \"0123abc\""));
         assert!(json.contains("\"conv_speedup\": 40.0000"));
         assert!(json.contains("\"conv_packed_speedup\": 10.0000"));
         assert!(json.contains("\"conv_wide_seconds\": 0.050000"));
@@ -885,6 +924,7 @@ mod tests {
             serial_ns: 1.0,
             packed_ns: 0.0,
             wide_ns: 0.0,
+            pack_ns: 0.0,
         };
         assert_eq!(degenerate.speedup(), 1.0);
         assert_eq!(degenerate.wide_speedup(), 1.0);
@@ -896,6 +936,16 @@ mod tests {
         };
         assert_eq!(zero.conv_speedup(), 1.0);
         assert_eq!(zero.conv_packed_speedup(), 1.0);
+    }
+
+    #[test]
+    fn git_revision_is_a_commit_hash_or_unknown() {
+        let rev = git_revision();
+        let hash = rev.strip_suffix("-dirty").unwrap_or(&rev);
+        assert!(
+            rev == "unknown" || (hash.len() == 40 && hash.chars().all(|c| c.is_ascii_hexdigit())),
+            "{rev}"
+        );
     }
 
     #[test]

@@ -140,19 +140,17 @@ pub fn unsigned_bits(value: u32) -> u8 {
 /// This is the software model of the per-group precision detectors: a per-bit
 /// OR tree followed by a leading-one detector.
 pub fn required_precision(values: &[i32]) -> Precision {
-    let bits = values.iter().map(|&v| signed_bits(v)).max().unwrap_or(1);
-    Precision::saturating(bits)
+    // `v ^ (v >> 31)` needs the same signed width as `v` and is
+    // non-negative, so the widest value sets the highest bit of the OR.
+    let fold = values.iter().fold(0, |fold, &v| fold | (v ^ (v >> 31)));
+    Precision::saturating(signed_bits(fold))
 }
 
 /// Returns the smallest precision that can hold every value in `values` when
 /// the values are known non-negative (e.g. post-ReLU activations).
 pub fn required_unsigned_precision(values: &[i32]) -> Precision {
-    let bits = values
-        .iter()
-        .map(|&v| unsigned_bits(v.max(0) as u32))
-        .max()
-        .unwrap_or(1);
-    Precision::saturating(bits)
+    let fold = values.iter().fold(0, |fold, &v| fold | v.max(0) as u32);
+    Precision::saturating(unsigned_bits(fold))
 }
 
 /// The inclusive value range representable by a signed two's-complement number

@@ -17,8 +17,9 @@
 //!    batch size are sampled per request.
 //!
 //! The report lands in `BENCH_serving.json` (schema documented in
-//! `docs/SERVING.md`). The process exits non-zero on any response
-//! divergence, or when `--min-batch-speedup` is given and served throughput
+//! `docs/SERVING.md`), stamped with the git revision. A `--threads` budget
+//! above the available parallelism is refused (exit 2). The process exits
+//! non-zero on any response divergence, or when `--min-batch-speedup` is given and served throughput
 //! does not beat the serial baseline by that factor — the CI soak gate.
 
 use loom_core::loom_model::inference::InferenceOptions;
@@ -152,6 +153,14 @@ struct Expected {
 fn main() {
     let requests = usize_flag("requests").unwrap_or(2000);
     let threads = loom_core::threads::resolve(usize_flag("threads"));
+    // A soak measured with more workers than the machine runs at once
+    // reads like a serving regression, so an oversubscribed budget is
+    // refused outright, as functional_bench does.
+    let available = loom_core::threads::available();
+    if threads > available {
+        eprintln!("ERROR: --threads {threads} exceeds available parallelism {available}");
+        std::process::exit(2);
+    }
     let clients = usize_flag("clients").unwrap_or(8).max(1);
     let window = Duration::from_millis(usize_flag("batch-window-ms").unwrap_or(2) as u64);
     let max_batch = usize_flag("max-batch").unwrap_or(8);
@@ -165,8 +174,7 @@ fn main() {
 
     println!(
         "serve_bench: {requests} requests, {clients} clients, {threads} worker threads \
-         (available {}), window {window:?}, max batch {max_batch}",
-        loom_core::threads::available()
+         (available {available}), window {window:?}, max batch {max_batch}"
     );
 
     // Cold catalog build: every model's weights packed for the first time in
@@ -407,12 +415,16 @@ fn main() {
     let counters = server.counters();
     let report = Json::Object(vec![
         ("schema".to_string(), Json::from("loom-serve-bench-v1")),
+        (
+            "git_revision".to_string(),
+            Json::from(loom_core::export::git_revision().as_str()),
+        ),
         ("requests".to_string(), Json::from(requests as i64)),
         ("clients".to_string(), Json::from(clients as i64)),
         ("threads".to_string(), Json::from(threads as i64)),
         (
             "available_parallelism".to_string(),
-            Json::from(loom_core::threads::available() as i64),
+            Json::from(available as i64),
         ),
         (
             "window_ms".to_string(),

@@ -20,9 +20,10 @@
 //!
 //! * **AVX-512 + `vpopcntdq`** — `_mm512_popcnt_epi64` counts a whole plane
 //!   pair per instruction: two adjacent activation planes load with one
-//!   512-bit read (the plane array is contiguous), AND against the broadcast
-//!   weight plane, popcount per 64-bit lane, and `_mm512_sllv_epi64` applies
-//!   each half's plane shift in-register.
+//!   512-bit read (the plane array is contiguous) and stay in registers for
+//!   the whole product, each AND against the broadcast weight plane and
+//!   popcounted per 64-bit lane into its own Horner accumulator;
+//!   `_mm512_sllv_epi64` applies each half's plane shift once at the end.
 //! * **AVX-512 (`avx512f` + `avx512bw`)** — the `vpshufb` nibble-lookup
 //!   popcount at 512-bit width for parts without `vpopcntdq`: four
 //!   activation planes fold into one `_mm512_sad_epu8` (two per load, byte
@@ -35,11 +36,13 @@
 //!   the `popcnt` feature enabled.
 //! * **portable** — the same loop on the baseline target, for non-x86 hosts.
 //!
-//! Packing is dispatched the same way: the AVX2 path transposes eight lanes
-//! per `_mm256_movemask_ps` instead of one bit at a time, and both paths stop
-//! extracting planes at the block's detected magnitude width (every higher
-//! plane of a two's-complement value equals its sign, so those planes are
-//! filled with the sign word directly).
+//! Packing is dispatched the same way, once per process: the AVX-512BW path
+//! produces each 64-lane plane word with one `_mm512_test_epi8_mask`, the
+//! AVX2 path transposes eight lanes per `_mm256_movemask_ps`, and the scalar
+//! path goes bit by bit. All stop extracting planes at the block's magnitude
+//! cutoff (every higher plane of a two's-complement value equals its sign,
+//! so those planes are filled with the sign word directly) and record that
+//! cutoff, which makes precision detection and the zero test O(1).
 
 use loom_mem::compress::{CompressedPlanes, PlaneRef, PLANE_LANES, PLANE_WORDS};
 use loom_model::fixed::{Precision, MAX_PRECISION};
@@ -89,6 +92,10 @@ pub struct WideBitplaneBlock {
     lanes: usize,
     planes: [[u64; WIDE_WORDS]; MAX_PRECISION as usize],
     signs: [u64; WIDE_WORDS],
+    /// One past the highest non-empty magnitude plane (see
+    /// [`magnitude_cutoff`]), recorded by the packer so detection and the
+    /// zero test are O(1) instead of 16-plane scans.
+    cutoff: u8,
 }
 
 impl WideBitplaneBlock {
@@ -97,6 +104,7 @@ impl WideBitplaneBlock {
         lanes: 0,
         planes: [[0; WIDE_WORDS]; MAX_PRECISION as usize],
         signs: [0; WIDE_WORDS],
+        cutoff: 0,
     };
 
     /// Transposes `values` into wide bit-plane form.
@@ -125,17 +133,8 @@ impl WideBitplaneBlock {
             "a WideBitplaneBlock holds at most {WIDE_LANES} lanes, got {}",
             values.len()
         );
-        *self = Self::EMPTY;
-        self.lanes = values.len();
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the `avx2` feature was just detected at runtime.
-                unsafe { pack_avx2(self, values) };
-                return;
-            }
-        }
-        pack_scalar(self, values);
+        // SAFETY: `Packer::active` only selects packers detected on this CPU.
+        unsafe { Packer::active().pack(self, values) }
     }
 
     /// Number of packed lanes.
@@ -171,7 +170,7 @@ impl WideBitplaneBlock {
     /// Whether every packed lane is zero (such a block contributes nothing to
     /// any inner product, so the engine skips it outright).
     pub fn is_zero(&self) -> bool {
-        self.signs == [0; WIDE_WORDS] && self.planes.iter().all(|p| *p == [0; WIDE_WORDS])
+        self.cutoff == 0 && self.signs == [0; WIDE_WORDS]
     }
 
     /// The smallest precision covering every packed lane: signed
@@ -183,13 +182,7 @@ impl WideBitplaneBlock {
     /// the narrower schedule is exactly what the serial model produces at the
     /// same precision.
     pub fn detected_precision(&self, signed: bool) -> Precision {
-        let highest = (0..MAX_PRECISION)
-            .rev()
-            .find(|&bit| self.magnitude_words(bit) != [0; WIDE_WORDS]);
-        match highest {
-            None => Precision::saturating(1),
-            Some(bit) => Precision::saturating(bit + if signed { 2 } else { 1 }),
-        }
+        precision_from_cutoff(self.cutoff, signed)
     }
 
     /// Reconstructs the packed values (inverse of [`pack`](Self::pack) for
@@ -229,7 +222,8 @@ pub struct CompressedWideBlock {
     /// Per-bit resolution LUT: [`SLOT_ZERO`], [`SLOT_SIGN`], or an index
     /// into the stored-plane array — one branchless lookup per weight bit.
     slots: [u8; MAX_PRECISION as usize],
-    zero: bool,
+    /// The dense block's magnitude cutoff, kept so detection stays O(1).
+    cutoff: u8,
 }
 
 impl CompressedWideBlock {
@@ -252,7 +246,7 @@ impl CompressedWideBlock {
         CompressedWideBlock {
             inner,
             slots,
-            zero: block.is_zero(),
+            cutoff: block.cutoff,
         }
     }
 
@@ -264,6 +258,7 @@ impl CompressedWideBlock {
             lanes: self.inner.lanes(),
             planes,
             signs,
+            cutoff: self.cutoff,
         }
     }
 
@@ -284,28 +279,16 @@ impl CompressedWideBlock {
     }
 
     /// Whether every packed lane is zero (same contract as
-    /// [`WideBitplaneBlock::is_zero`], captured at compression time).
+    /// [`WideBitplaneBlock::is_zero`]).
     pub fn is_zero(&self) -> bool {
-        self.zero
+        self.cutoff == 0 && *self.inner.signs() == [0; WIDE_WORDS]
     }
 
     /// The smallest precision covering every packed lane — identical to
-    /// [`WideBitplaneBlock::detected_precision`] on the dense block, computed
-    /// here from the compressed form (an elided zero plane's magnitude view
-    /// is the sign plane; a sign-extension plane's is zero).
+    /// [`WideBitplaneBlock::detected_precision`] on the dense block, read from
+    /// the cutoff captured at compression time.
     pub fn detected_precision(&self, signed: bool) -> Precision {
-        let signs = *self.inner.signs();
-        let highest = (0..MAX_PRECISION).rev().find(|&bit| {
-            let magnitude: [u64; WIDE_WORDS] = match self.plane(usize::from(bit)) {
-                None => signs,
-                Some(plane) => std::array::from_fn(|w| plane[w] ^ signs[w]),
-            };
-            magnitude != [0; WIDE_WORDS]
-        });
-        match highest {
-            None => Precision::saturating(1),
-            Some(bit) => Precision::saturating(bit + if signed { 2 } else { 1 }),
-        }
+        precision_from_cutoff(self.cutoff, signed)
     }
 
     /// The underlying compressed-plane storage (footprint accounting).
@@ -341,31 +324,103 @@ impl<'a> WeightPlanes<'a> {
     }
 }
 
-/// Plane extraction cutoff: the widest magnitude (sign-excluded) bit count of
-/// any value in the slice. Every plane at or above the cutoff equals the sign
-/// plane, so packers fill those planes from the sign words instead of
-/// extracting them.
-fn magnitude_cutoff(values: &[i32]) -> usize {
+/// Plane extraction cutoff: one past the highest plane (below 16) in which
+/// some value differs from its own sign — the highest non-empty magnitude
+/// plane — or 0 when every value reads 0 or −1 over 16 bits. Every plane at
+/// or above the cutoff equals the sign plane, so packers fill those planes
+/// from the sign words instead of extracting them, and the cutoff alone
+/// decides the detected precision and the zero test.
+#[inline(always)]
+fn magnitude_cutoff(values: &[i32]) -> u8 {
     let mut fold: u32 = 0;
     for &v in values {
         fold |= (v ^ (v >> 31)) as u32;
     }
-    ((32 - fold.leading_zeros()) as usize).min(usize::from(MAX_PRECISION))
+    (16 - (fold as u16).leading_zeros()) as u8
+}
+
+/// The precision a block with magnitude cutoff `cutoff` needs: the magnitude
+/// bits plus the sign bit when `signed`, at least 1 and at most 16.
+fn precision_from_cutoff(cutoff: u8, signed: bool) -> Precision {
+    match cutoff {
+        0 => Precision::saturating(1),
+        bits => Precision::saturating(bits + u8::from(signed)),
+    }
+}
+
+/// The transposers [`WideBitplaneBlock::pack_into`] dispatches across,
+/// slowest to fastest. All produce identical blocks; the fastest detected
+/// one is chosen once per process ([`Packer::active`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Packer {
+    /// Bit by bit; always available.
+    Scalar,
+    /// Eight lanes per `_mm256_movemask_ps` — the fast path on AVX2-only
+    /// hosts.
+    Avx2,
+    /// 64 lanes per `_mm512_test_epi8_mask` (`avx512f` + `avx512bw`).
+    Avx512,
+}
+
+impl Packer {
+    const ALL: [Packer; 3] = [Packer::Scalar, Packer::Avx2, Packer::Avx512];
+
+    /// Whether the running CPU supports this packer.
+    fn detected(self) -> bool {
+        match self {
+            Packer::Scalar => true,
+            Packer::Avx2 => KernelTier::Avx2.detected(),
+            Packer::Avx512 => KernelTier::Avx512.detected(),
+        }
+    }
+
+    /// The fastest detected packer, chosen once per process.
+    fn active() -> Packer {
+        static PACKER: std::sync::OnceLock<Packer> = std::sync::OnceLock::new();
+        *PACKER.get_or_init(|| {
+            Packer::ALL
+                .into_iter()
+                .rev()
+                .find(|packer| packer.detected())
+                .unwrap_or(Packer::Scalar)
+        })
+    }
+
+    /// Overwrites all of `block` with `values` transposed: each packer sets
+    /// the lane count, the cutoff, the sign words and the planes below the
+    /// cutoff, and every plane at or above the cutoff is the sign words.
+    ///
+    /// # Safety
+    ///
+    /// `self.detected()` must hold.
+    unsafe fn pack(self, block: &mut WideBitplaneBlock, values: &[i32]) {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Packer::Avx512 => pack_avx512(block, values),
+            #[cfg(target_arch = "x86_64")]
+            Packer::Avx2 => pack_avx2(block, values),
+            _ => pack_scalar(block, values),
+        }
+        for plane in usize::from(block.cutoff)..usize::from(MAX_PRECISION) {
+            block.planes[plane] = block.signs;
+        }
+    }
 }
 
 /// Portable bit-by-bit transpose.
 fn pack_scalar(block: &mut WideBitplaneBlock, values: &[i32]) {
-    let cutoff = magnitude_cutoff(values);
+    *block = WideBitplaneBlock {
+        lanes: values.len(),
+        cutoff: magnitude_cutoff(values),
+        ..WideBitplaneBlock::EMPTY
+    };
     for (lane, &v) in values.iter().enumerate() {
         let (word, bit) = (lane / 64, lane % 64);
         let u = v as u32;
-        for plane in 0..cutoff {
+        for plane in 0..usize::from(block.cutoff) {
             block.planes[plane][word] |= u64::from(u >> plane & 1) << bit;
         }
         block.signs[word] |= u64::from(v < 0) << bit;
-    }
-    for plane in cutoff..usize::from(MAX_PRECISION) {
-        block.planes[plane] = block.signs;
     }
 }
 
@@ -376,7 +431,12 @@ fn pack_scalar(block: &mut WideBitplaneBlock, values: &[i32]) {
 #[target_feature(enable = "avx2")]
 unsafe fn pack_avx2(block: &mut WideBitplaneBlock, values: &[i32]) {
     use std::arch::x86_64::*;
-    let cutoff = magnitude_cutoff(values);
+    *block = WideBitplaneBlock {
+        lanes: values.len(),
+        cutoff: magnitude_cutoff(values),
+        ..WideBitplaneBlock::EMPTY
+    };
+    let cutoff = usize::from(block.cutoff);
     let mut chunk = 0usize;
     while chunk * 8 < values.len() {
         let base = chunk * 8;
@@ -397,9 +457,98 @@ unsafe fn pack_avx2(block: &mut WideBitplaneBlock, values: &[i32]) {
         }
         chunk += 1;
     }
-    for plane in cutoff..usize::from(MAX_PRECISION) {
-        block.planes[plane] = block.signs;
+}
+
+/// AVX-512BW transpose: one `_mm512_test_epi8_mask` per 64-lane plane word.
+/// Each word's 64 lanes load as four registers of sixteen (the ragged tail
+/// with `_mm512_maskz_loadu_epi32`, lanes past the end as zeros), give the
+/// sign word through `_mm512_cmplt_epi32_mask`, and narrow to one register
+/// of 64 low bytes ([`narrow_bytes_512`]) — and of 64 high bytes only when
+/// the cutoff is above 8 — so testing it against `1 << b` yields that word of
+/// plane `b`. Every word is written, so the block needs no clearing first.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512bw`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn pack_avx512(block: &mut WideBitplaneBlock, values: &[i32]) {
+    use std::arch::x86_64::*;
+    block.lanes = values.len();
+    block.cutoff = magnitude_cutoff(values);
+    let cutoff = usize::from(block.cutoff);
+    let zero = _mm512_setzero_si512();
+    for word in 0..WIDE_WORDS {
+        let base = word * 64;
+        let lanes = [
+            load_lanes_512(values, base),
+            load_lanes_512(values, base + 16),
+            load_lanes_512(values, base + 32),
+            load_lanes_512(values, base + 48),
+        ];
+        let mut signs = 0u64;
+        for (quarter, &v) in lanes.iter().enumerate() {
+            signs |= u64::from(_mm512_cmplt_epi32_mask(v, zero)) << (quarter * 16);
+        }
+        block.signs[word] = signs;
+        let low = narrow_bytes_512::<0>(&lanes);
+        for plane in 0..cutoff.min(8) {
+            block.planes[plane][word] = _mm512_test_epi8_mask(low, _mm512_set1_epi8(1 << plane));
+        }
+        if cutoff > 8 {
+            let high = narrow_bytes_512::<8>(&lanes);
+            for plane in 8..cutoff {
+                block.planes[plane][word] =
+                    _mm512_test_epi8_mask(high, _mm512_set1_epi8(1 << (plane - 8)));
+            }
+        }
     }
+}
+
+/// Loads lanes `base..base + 16` of `values`, zeros past the end.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn load_lanes_512(values: &[i32], base: usize) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    match values.len().saturating_sub(base) {
+        0 => _mm512_setzero_si512(),
+        rest @ 1..=15 => _mm512_maskz_loadu_epi32((1 << rest) - 1, values.as_ptr().add(base)),
+        _ => _mm512_loadu_si512(values.as_ptr().add(base).cast()),
+    }
+}
+
+/// Byte `SHIFT / 8` of each of the 64 lanes in `lanes` (sixteen 32-bit lanes
+/// per register), as 64 bytes in lane order. Two unsigned-saturating pack
+/// steps narrow the masked bytes into one register, as four-lane groups
+/// interleaved per 128-bit block, and one `vpermd` restores lane order —
+/// four shuffles where four `_mm512_cvtepi32_epi8` and three inserts take
+/// eleven shuffle-port micro-ops.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512bw`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+#[inline]
+unsafe fn narrow_bytes_512<const SHIFT: u32>(
+    lanes: &[std::arch::x86_64::__m512i; 4],
+) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    let byte = _mm512_set1_epi32(0xff);
+    let mut masked = [_mm512_setzero_si512(); 4];
+    for (masked, &v) in masked.iter_mut().zip(lanes) {
+        *masked = _mm512_and_si512(_mm512_srli_epi32::<SHIFT>(v), byte);
+    }
+    let [a, b, c, d] = masked;
+    let bytes = _mm512_packus_epi16(_mm512_packus_epi32(a, b), _mm512_packus_epi32(c, d));
+    // Dword 4k + s now holds lanes 16s + 4k .. 16s + 4k + 4 of register s.
+    let order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+    _mm512_permutexvar_epi32(order, bytes)
 }
 
 /// The wide plane-pair loop shared by the portable and `popcnt` entry points:
@@ -754,11 +903,33 @@ unsafe fn wide_product_avx512(
 }
 
 /// AVX-512 `vpopcntdq` kernel: `_mm512_popcnt_epi64` counts each 64-bit lane
-/// of the AND directly — no nibble lookup, no byte folding. Two activation
-/// planes per load, per-half plane shifts via `_mm512_sllv_epi64`, and the
-/// same four accumulators as the other vector kernels. Kept as a separate
-/// function (not a const-generic switch) so `avx512vpopcntdq` codegen never
-/// reaches parts that only detect `avx512f`/`avx512bw`.
+/// of the AND directly — no nibble lookup, no byte folding. The activation
+/// planes stay in registers for the whole call: the ⌈pa/2⌉ adjacent plane
+/// pairs load once (one 512-bit read each; an odd `pa`'s last pair is a
+/// single plane with its upper half zero), and each weight bit costs one
+/// broadcast plus, per pair, an AND, a popcount and a Horner step into that
+/// pair's own accumulator (see [`vpopcnt_pass`]). The weight-MSB bit, which
+/// two's complement subtracts, runs first as a pass of its own through the
+/// same loop and seeds the body pass negated, so no weight bit branches on
+/// its position. After the loop each pair's plane shifts ([`pair_shifts_512`])
+/// apply once, and the activation-MSB plane, which two's complement also
+/// subtracts, is negated in its half of the last pair. The passes are
+/// monomorphised over the pair count (1..=8), which keeps up to eight
+/// activation pairs and eight accumulators register-resident.
+///
+/// Overflow headroom: a lane's popcount is at most 64, so a pair
+/// accumulator's lane stays below 64 · 2^16 = 2^22 in magnitude after ≤ 16
+/// Horner steps; the pair shift (≤ 15) and the sum over ≤ 8 pairs and 8
+/// lanes keep the total below 2^43 — comfortably inside i64.
+///
+/// Kept as a separate function (not a const-generic switch) so
+/// `avx512vpopcntdq` codegen never reaches parts that only detect
+/// `avx512f`/`avx512bw`.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512vpopcntdq`, and `pw`, `pa`
+/// must lie in 1..=16.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
 unsafe fn wide_product_avx512_vpopcnt(
@@ -769,58 +940,98 @@ unsafe fn wide_product_avx512_vpopcnt(
     weights_signed: bool,
     activations_signed: bool,
 ) -> i64 {
+    macro_rules! pairs {
+        ($($n:literal)*) => {
+            match pa.div_ceil(2) {
+                $($n => vpopcnt_product::<$n>(w, a, pw, pa, weights_signed, activations_signed),)*
+                _ => unreachable!("activation precision {pa} outside 1..=16"),
+            }
+        };
+    }
+    pairs!(1 2 3 4 5 6 7 8)
+}
+
+/// [`wide_product_avx512_vpopcnt`] at a fixed pair count `PAIRS = ⌈pa/2⌉`.
+///
+/// # Safety
+///
+/// As for [`wide_product_avx512_vpopcnt`], with `PAIRS == pa.div_ceil(2)`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+#[inline]
+unsafe fn vpopcnt_product<const PAIRS: usize>(
+    w: WeightPlanes<'_>,
+    a: &WideBitplaneBlock,
+    pw: usize,
+    pa: usize,
+    weights_signed: bool,
+    activations_signed: bool,
+) -> i64 {
     use std::arch::x86_64::*;
     let zero = _mm512_setzero_si512();
-    let mut wb_shifts = [_mm_setzero_si128(); MAX_PRECISION as usize];
-    for (bit, shift) in wb_shifts.iter_mut().enumerate() {
-        *shift = _mm_cvtsi32_si128(bit as i32);
+    let mut acts = [zero; PAIRS];
+    for (pair, ap) in acts.iter_mut().enumerate() {
+        *ap = if 2 * pair + 1 < pa {
+            load_plane_pair_512(a, 2 * pair)
+        } else {
+            load_plane_single_512(a, 2 * pair)
+        };
     }
-    let pa_msb = pa - 1;
-    let mut body = zero;
-    let mut body_msb = zero;
-    let mut wmsb = zero;
-    let mut wmsb_msb = zero;
+    // The weight-MSB bit (which two's complement subtracts) runs first and
+    // seeds the body pass negated; the body's Horner doublings then give it
+    // its 2^(pw-1) weight.
     let w_last = if weights_signed { pw - 1 } else { pw };
-    for wb in 0..pw {
-        // Elided all-zero weight planes are skipped before the broadcast.
+    let mut acc = vpopcnt_pass(w, &acts, w_last..pw, [zero; PAIRS]);
+    for acc in &mut acc {
+        *acc = _mm512_sub_epi64(zero, *acc);
+    }
+    let acc = vpopcnt_pass(w, &acts, 0..w_last, acc);
+    let mut total = zero;
+    for (pair, acc) in acc.iter().enumerate() {
+        let mut sum = _mm512_sllv_epi64(*acc, pair_shifts_512(2 * pair));
+        if activations_signed && pair == PAIRS - 1 {
+            // Plane pa − 1 sits in the low half of the last pair when pa is
+            // odd, in the high half when it is even.
+            let msb_half: __mmask8 = if pa % 2 == 1 { 0x0f } else { 0xf0 };
+            sum = _mm512_mask_sub_epi64(sum, msb_half, zero, sum);
+        }
+        total = _mm512_add_epi64(total, sum);
+    }
+    _mm512_reduce_add_epi64(total)
+}
+
+/// One pass of [`vpopcnt_product`] over the weight bits `bits`, Horner
+/// style from the highest bit down: each bit doubles every pair's
+/// accumulator, then adds `popcount(w_wb & pair)` per 64-bit lane. The
+/// result is `seed · 2^len + Σ popcount(w_wb & pair) · 2^(wb − start)` —
+/// no per-bit shift at all.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512vpopcntdq`, and every bit in
+/// `bits` must be below 16.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+#[inline]
+unsafe fn vpopcnt_pass<const PAIRS: usize>(
+    w: WeightPlanes<'_>,
+    acts: &[std::arch::x86_64::__m512i; PAIRS],
+    bits: std::ops::Range<usize>,
+    mut acc: [std::arch::x86_64::__m512i; PAIRS],
+) -> [std::arch::x86_64::__m512i; PAIRS] {
+    use std::arch::x86_64::*;
+    for wb in bits.rev() {
+        for acc in &mut acc {
+            *acc = _mm512_add_epi64(*acc, *acc);
+        }
+        // An elided all-zero weight plane only doubles.
         let Some(plane) = w.plane(wb) else { continue };
         let wz = broadcast_plane_512(plane);
-        let mut acc = zero;
-        let mut ab = 0usize;
-        while ab < pa {
-            let (ap, step) = if ab + 1 < pa {
-                (load_plane_pair_512(a, ab), 2)
-            } else {
-                (load_plane_single_512(a, ab), 1)
-            };
-            let counts = _mm512_popcnt_epi64(_mm512_and_si512(wz, ap));
-            acc = _mm512_add_epi64(acc, _mm512_sllv_epi64(counts, pair_shifts_512(ab)));
-            ab += step;
-        }
-        let acc = _mm512_sll_epi64(acc, wb_shifts[wb]);
-        if wb < w_last {
-            body = _mm512_add_epi64(body, acc);
-        } else {
-            wmsb = _mm512_add_epi64(wmsb, acc);
-        }
-        if activations_signed {
-            let counts =
-                _mm512_popcnt_epi64(_mm512_and_si512(wz, load_plane_single_512(a, pa_msb)));
-            let msb = _mm512_sll_epi64(counts, wb_shifts[wb]);
-            if wb < w_last {
-                body_msb = _mm512_add_epi64(body_msb, msb);
-            } else {
-                wmsb_msb = _mm512_add_epi64(wmsb_msb, msb);
-            }
+        for (acc, &ap) in acc.iter_mut().zip(acts) {
+            *acc = _mm512_add_epi64(*acc, _mm512_popcnt_epi64(_mm512_and_si512(wz, ap)));
         }
     }
-    let mut positive = _mm512_reduce_add_epi64(body);
-    let mut negated = _mm512_reduce_add_epi64(wmsb);
-    if activations_signed {
-        positive -= _mm512_reduce_add_epi64(body_msb) << (pa_msb + 1);
-        negated -= _mm512_reduce_add_epi64(wmsb_msb) << (pa_msb + 1);
-    }
-    positive - negated
+    acc
 }
 
 /// The kernel tiers [`wide_inner_product`] dispatches across, slowest to
@@ -1097,6 +1308,9 @@ mod tests {
     use crate::loom::packed::BitplaneBlock;
     use crate::loom::sip::{reference_inner_product, serial_inner_product};
     use loom_model::fixed::{required_precision, required_unsigned_precision};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn ragged_values(n: usize) -> Vec<i32> {
         (0..n).map(|i| (i as i32 * 977) % 30000 - 15000).collect()
@@ -1118,15 +1332,133 @@ mod tests {
         WideBitplaneBlock::pack(&[0; 257]);
     }
 
-    #[test]
-    fn scalar_pack_matches_dispatched_pack() {
-        for lanes in [1, 7, 64, 100, 256] {
-            let values = ragged_values(lanes);
+    /// The highest-non-empty-magnitude-plane scan that the stored cutoff
+    /// replaces in [`WideBitplaneBlock::detected_precision`].
+    fn scanned_precision(block: &WideBitplaneBlock, signed: bool) -> Precision {
+        let highest = (0..MAX_PRECISION)
+            .rev()
+            .find(|&bit| block.magnitude_words(bit) != [0; WIDE_WORDS]);
+        match highest {
+            None => Precision::saturating(1),
+            Some(bit) => Precision::saturating(bit + if signed { 2 } else { 1 }),
+        }
+    }
+
+    /// The all-planes scan the stored cutoff replaces in
+    /// [`WideBitplaneBlock::is_zero`].
+    fn scanned_is_zero(block: &WideBitplaneBlock) -> bool {
+        block.signs == [0; WIDE_WORDS] && block.planes.iter().all(|p| *p == [0; WIDE_WORDS])
+    }
+
+    /// Asserts that the O(1) detection of `block` (and of its compressed
+    /// form) equals the 16-plane scans.
+    fn assert_detection_matches_scan(block: &WideBitplaneBlock, what: &str) {
+        let compressed = CompressedWideBlock::compress(block);
+        for signed in [true, false] {
+            let scanned = scanned_precision(block, signed);
+            assert_eq!(
+                block.detected_precision(signed),
+                scanned,
+                "{what} signed={signed}"
+            );
+            assert_eq!(
+                compressed.detected_precision(signed),
+                scanned,
+                "compressed {what} signed={signed}"
+            );
+        }
+        assert_eq!(block.is_zero(), scanned_is_zero(block), "{what}");
+        assert_eq!(
+            compressed.is_zero(),
+            scanned_is_zero(block),
+            "compressed {what}"
+        );
+    }
+
+    /// `lanes` operands of `bits`-bit signed or unsigned range in one of four
+    /// shapes: uniform with the range's extreme planted in lane 0 (−32768 at
+    /// 16-bit signed), all −1 (every plane pure sign extension), all the
+    /// extreme, or magnitudes with a cutoff of exactly `edge` (the packers'
+    /// low/high byte split sits between 8 and 9).
+    fn packer_operands(
+        rng: &mut StdRng,
+        lanes: usize,
+        bits: u8,
+        signed: bool,
+        shape: u8,
+        edge: u8,
+    ) -> Vec<i32> {
+        let (lo, hi) = if signed {
+            (-(1i32 << (bits - 1)), (1i32 << (bits - 1)) - 1)
+        } else {
+            (0, (1i32 << bits) - 1)
+        };
+        let extreme = if signed { lo } else { hi };
+        match shape {
+            0 => (0..lanes)
+                .map(|i| {
+                    if i == 0 {
+                        extreme
+                    } else {
+                        rng.random_range(lo..=hi)
+                    }
+                })
+                .collect(),
+            1 => vec![-1; lanes],
+            2 => vec![extreme; lanes],
+            _ => {
+                let top = 1i32 << edge;
+                let low = if signed { -top } else { 0 };
+                (0..lanes)
+                    .map(|i| {
+                        if i == 0 {
+                            top / 2
+                        } else {
+                            rng.random_range(low..top)
+                        }
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every packer this CPU detects (scalar, AVX2, AVX-512BW) produces
+        /// the block the dispatched pack does, over 0–256 lanes (ragged
+        /// 16-lane tails included), signed and unsigned operands at every
+        /// precision, and cutoffs on both sides of the byte split; the
+        /// stored detection of packed, compressed, decompressed and empty
+        /// blocks equals the 16-plane scans.
+        #[test]
+        fn scalar_pack_matches_dispatched_pack(
+            lanes in 0usize..=256,
+            bits in 1u8..=16,
+            signed in any::<bool>(),
+            shape in 0u8..4,
+            edge in 8u8..=9,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let values = packer_operands(&mut rng, lanes, bits, signed, shape, edge);
             let dispatched = WideBitplaneBlock::pack(&values);
-            let mut scalar = WideBitplaneBlock::EMPTY;
-            scalar.lanes = values.len();
-            pack_scalar(&mut scalar, &values);
-            assert_eq!(dispatched, scalar, "{lanes} lanes");
+            prop_assert_eq!(dispatched.unpack(), values.clone());
+            for packer in Packer::ALL.into_iter().filter(|p| p.detected()) {
+                // Packing reuses arena storage, so start from a stale block.
+                let mut block = WideBitplaneBlock::pack(&ragged_values(256));
+                // SAFETY: the packer was detected on this CPU.
+                unsafe { packer.pack(&mut block, &values) };
+                assert_eq!(block, dispatched, "{packer:?} packer, values {values:?}");
+            }
+            if shape == 3 && lanes > 0 {
+                prop_assert_eq!(dispatched.cutoff, edge);
+            }
+            assert_detection_matches_scan(&dispatched, "pack");
+            let restored = CompressedWideBlock::compress(&dispatched).decompress();
+            prop_assert_eq!(restored, dispatched);
+            assert_detection_matches_scan(&restored, "decompress");
+            assert_detection_matches_scan(&WideBitplaneBlock::EMPTY, "EMPTY");
         }
     }
 
@@ -1202,29 +1534,52 @@ mod tests {
     #[test]
     fn avx512_tiers_match_portable_across_precisions_and_signedness() {
         // Sweeps every (pw, pa) pair so both the plane-pair remainder (odd
-        // pa) and the four-plane fast path of the AVX-512 kernels are hit,
-        // under all four signedness combinations.
+        // pa) and the four-plane fast path of the AVX-512 kernels are hit —
+        // and every pair-count arm (1..=8) of the `vpopcntdq` kernel — under
+        // all four signedness combinations, with dense weights and with
+        // compressed weights whose low planes are elided as all zero and
+        // whose high planes resolve to the sign plane.
         #[cfg(target_arch = "x86_64")]
         for lanes in [1, 63, 130, 256] {
             let weights = ragged_values(lanes);
             let activations: Vec<i32> = ragged_values(lanes).iter().map(|v| v / 5).collect();
             let w = WideBitplaneBlock::pack(&weights);
             let a = WideBitplaneBlock::pack(&activations);
+            // Multiples of 4 in −512..512: planes 0–1 are all zero, planes
+            // 9–15 pure sign extension (every draw has a negative).
+            let sparse: Vec<i32> = weights.iter().map(|v| (v % 512) & !3).collect();
+            let c = CompressedWideBlock::compress(&WideBitplaneBlock::pack(&sparse));
+            assert!((0..2).all(|bit| c.slots[bit] == SLOT_ZERO), "{lanes} lanes");
+            assert!(
+                (9..16).all(|bit| c.slots[bit] == SLOT_SIGN),
+                "{lanes} lanes"
+            );
             for pw in 1..=16usize {
                 for pa in 1..=16usize {
                     for (ws, as_) in [(true, true), (true, false), (false, true), (false, false)] {
-                        let wd = WeightPlanes::Dense(&w);
-                        let portable = wide_product_core(wd, &a, pw, pa, ws, as_);
-                        if KernelTier::Avx512.detected() {
-                            // SAFETY: tier features detected above.
-                            let got = unsafe { wide_product_avx512(wd, &a, pw, pa, ws, as_) };
-                            assert_eq!(portable, got, "avx512 {lanes} lanes pw={pw} pa={pa}");
-                        }
-                        if KernelTier::Avx512Vpopcnt.detected() {
-                            // SAFETY: tier features detected above.
-                            let got =
-                                unsafe { wide_product_avx512_vpopcnt(wd, &a, pw, pa, ws, as_) };
-                            assert_eq!(portable, got, "vpopcnt {lanes} lanes pw={pw} pa={pa}");
+                        for wd in [WeightPlanes::Dense(&w), WeightPlanes::Compressed(&c)] {
+                            let form = match wd {
+                                WeightPlanes::Dense(_) => "dense",
+                                WeightPlanes::Compressed(_) => "compressed",
+                            };
+                            let portable = wide_product_core(wd, &a, pw, pa, ws, as_);
+                            if KernelTier::Avx512.detected() {
+                                // SAFETY: tier features detected above.
+                                let got = unsafe { wide_product_avx512(wd, &a, pw, pa, ws, as_) };
+                                assert_eq!(
+                                    portable, got,
+                                    "avx512 {form} {lanes} lanes pw={pw} pa={pa} {ws}/{as_}"
+                                );
+                            }
+                            if KernelTier::Avx512Vpopcnt.detected() {
+                                // SAFETY: tier features detected above.
+                                let got =
+                                    unsafe { wide_product_avx512_vpopcnt(wd, &a, pw, pa, ws, as_) };
+                                assert_eq!(
+                                    portable, got,
+                                    "vpopcnt {form} {lanes} lanes pw={pw} pa={pa} {ws}/{as_}"
+                                );
+                            }
                         }
                     }
                 }
